@@ -6,9 +6,17 @@
 //! keyset contract matches `Snapshot::try_select_after` exactly, which
 //! is what lets the legacy filter params desugar into this path with
 //! byte-identical responses.
+//!
+//! The scan contract: one execution costs O(n) in the n rows scanned
+//! (O(n log k) for `ORDER BY … LIMIT k`) and allocates nothing per
+//! scanned row — only per row returned and per group. Predicates, sort
+//! keys and group keys read borrowed values through each field's
+//! resolved accessor; `GROUP BY` keys on the borrowed string; `ORDER
+//! BY` keeps the best k borrowed rows in a heap and builds summaries
+//! only for those; `rows_scanned` is bumped once per scan.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
 use hyperbench_api::dto::EntrySummary;
@@ -16,9 +24,9 @@ use hyperbench_api::json::Json;
 use hyperbench_repo::EntryMeta;
 
 use crate::ast::{CmpOp, Literal};
-use crate::catalog::{self, FieldValue};
+use crate::catalog::FieldValue;
 use crate::metrics::metrics;
-use crate::resolve::{AggItem, Plan, Pred, Shape};
+use crate::resolve::{AggItem, Field, Plan, Pred, Shape};
 
 /// One keyset page of entry-summary rows; the contract of
 /// `Snapshot::try_select_after`, with summaries in place of entries.
@@ -74,16 +82,16 @@ pub fn summary_of_meta(meta: &EntryMeta<'_>) -> EntrySummary {
     }
 }
 
-fn eval_cmp(meta: &EntryMeta<'_>, field: usize, op: CmpOp, value: &Literal) -> bool {
-    // A comparison against an absent value is false — the two-valued
-    // semantics `Filter::matches_meta` already uses for analysis-
-    // dependent conditions on unanalyzed entries.
-    let Some(actual) = catalog::value_of(meta, field) else {
+fn eval_cmp(meta: &EntryMeta<'_>, field: Field, op: CmpOp, value: &Literal) -> bool {
+    // A comparison against an absent value is false: two-valued
+    // semantics, so analysis-dependent conditions never match an
+    // unanalyzed entry.
+    let Some(actual) = (field.get)(meta) else {
         return false;
     };
-    let ord = match (&actual, value) {
+    let ord = match (actual, value) {
         (FieldValue::Int(a), Literal::Int(b)) => a.cmp(b),
-        (FieldValue::Str(a), Literal::Str(b)) => (*a).cmp(b.as_str()),
+        (FieldValue::Str(a), Literal::Str(b)) => a.cmp(b.as_str()),
         (FieldValue::Bool(a), Literal::Bool(b)) => a.cmp(b),
         _ => unreachable!("resolver type-checked the comparison"),
     };
@@ -102,48 +110,54 @@ fn eval_pred(meta: &EntryMeta<'_>, pred: &Pred) -> bool {
         Pred::And(l, r) => eval_pred(meta, l) && eval_pred(meta, r),
         Pred::Or(l, r) => eval_pred(meta, l) || eval_pred(meta, r),
         Pred::Not(inner) => !eval_pred(meta, inner),
-        Pred::Cmp { field, op, value } => eval_cmp(meta, *field, *op, value),
+        Pred::Cmp { field, op, value } => eval_cmp(meta, field, *op, value),
     }
 }
 
-/// Compares two optional sort keys: absent values order last regardless
-/// of direction, present values by natural order (reversed for `DESC`).
-fn cmp_keys(a: &Option<SortKey>, b: &Option<SortKey>, desc: bool) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Greater,
-        (Some(_), None) => Ordering::Less,
-        (Some(a), Some(b)) => {
-            let ord = match (a, b) {
-                (SortKey::Int(x), SortKey::Int(y)) => x.cmp(y),
-                (SortKey::Str(x), SortKey::Str(y)) => x.cmp(y),
-                (SortKey::Bool(x), SortKey::Bool(y)) => x.cmp(y),
-                _ => unreachable!("one field, one type"),
-            };
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
+/// The `ORDER BY` row order: key by key, absent values last regardless
+/// of direction, present values by natural order (reversed for
+/// `DESC`); ties broken by ascending id, which makes it a total order.
+fn cmp_rows(order: &[(Field, bool)], a: &EntryMeta<'_>, b: &EntryMeta<'_>) -> Ordering {
+    for &(field, desc) in order {
+        let ord = match ((field.get)(a), (field.get)(b)) {
+            (None, None) => Ordering::Equal,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(_), None) => Ordering::Less,
+            (Some(x), Some(y)) if desc => y.cmp(&x),
+            (Some(x), Some(y)) => x.cmp(&y),
+        };
+        if ord != Ordering::Equal {
+            return ord;
         }
     }
+    a.id.cmp(&b.id)
 }
 
-/// An owned sort key (the scan's borrows don't outlive the sort).
-#[derive(Debug, Clone)]
-enum SortKey {
-    Int(i64),
-    Str(String),
-    Bool(bool),
+/// One borrowed row in the top-k heap, ordered by [`cmp_rows`].
+struct Ranked<'p, 'a> {
+    order: &'p [(Field, bool)],
+    meta: EntryMeta<'a>,
 }
 
-fn sort_key(meta: &EntryMeta<'_>, field: usize) -> Option<SortKey> {
-    catalog::value_of(meta, field).map(|v| match v {
-        FieldValue::Int(n) => SortKey::Int(n),
-        FieldValue::Str(s) => SortKey::Str(s.to_string()),
-        FieldValue::Bool(b) => SortKey::Bool(b),
-    })
+impl Ord for Ranked<'_, '_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_rows(self.order, &self.meta, &other.meta)
+    }
 }
+
+impl PartialOrd for Ranked<'_, '_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked<'_, '_> {}
 
 impl Plan {
     /// Whether one entry's metadata passes the `WHERE` predicate.
@@ -153,9 +167,9 @@ impl Plan {
 
     /// Executes a rows plan as a keyset page: scan in id order, skip
     /// matches at or before `after`, return up to `limit` rows. With an
-    /// `ORDER BY` the full match set is sorted instead and `after` is
-    /// ignored (the server rejects cursors on ordered queries);
-    /// `next_after` is then always `None`.
+    /// `ORDER BY` the page is the first `limit` matches in sort order
+    /// instead and `after` is ignored (the server rejects cursors on
+    /// ordered queries); `next_after` is then always `None`.
     pub fn execute_rows<'a>(
         &self,
         metas: impl Iterator<Item = EntryMeta<'a>>,
@@ -164,13 +178,14 @@ impl Plan {
     ) -> RowPage {
         let m = metrics();
         let start = Instant::now();
+        let mut scanned = 0u64;
         let page = match &self.shape {
             Shape::Rows { order } if order.is_empty() => {
                 let mut total = 0usize;
                 let mut items = Vec::new();
                 let mut has_more = false;
                 for meta in metas {
-                    m.rows_scanned.inc();
+                    scanned += 1;
                     if !self.matches(&meta) {
                         continue;
                     }
@@ -196,34 +211,38 @@ impl Plan {
                 }
             }
             Shape::Rows { order } => {
-                let mut rows: Vec<(Vec<Option<SortKey>>, EntrySummary)> = Vec::new();
+                // A max-heap of the best `limit` rows so far: its top is
+                // the worst of them, the one a better row evicts.
+                let mut top: BinaryHeap<Ranked<'_, 'a>> = BinaryHeap::new();
+                let mut total = 0usize;
                 for meta in metas {
-                    m.rows_scanned.inc();
+                    scanned += 1;
                     if !self.matches(&meta) {
                         continue;
                     }
-                    let keys = order.iter().map(|(f, _)| sort_key(&meta, *f)).collect();
-                    rows.push((keys, summary_of_meta(&meta)));
-                }
-                let total = rows.len();
-                rows.sort_by(|(ka, sa), (kb, sb)| {
-                    for (i, (_, desc)) in order.iter().enumerate() {
-                        match cmp_keys(&ka[i], &kb[i], *desc) {
-                            Ordering::Equal => continue,
-                            other => return other,
+                    total += 1;
+                    let row = Ranked { order, meta };
+                    if top.len() < limit {
+                        top.push(row);
+                    } else if let Some(mut worst) = top.peek_mut() {
+                        if row < *worst {
+                            *worst = row;
                         }
                     }
-                    sa.id.cmp(&sb.id)
-                });
-                rows.truncate(limit);
+                }
                 RowPage {
-                    items: rows.into_iter().map(|(_, s)| s).collect(),
+                    items: top
+                        .into_sorted_vec()
+                        .iter()
+                        .map(|r| summary_of_meta(&r.meta))
+                        .collect(),
                     total,
                     next_after: None,
                 }
             }
             Shape::Groups { .. } => unreachable!("execute_rows called on an aggregate plan"),
         };
+        m.rows_scanned.add(scanned);
         m.execute_us.observe(start.elapsed().as_micros() as u64);
         page
     }
@@ -238,10 +257,11 @@ impl Plan {
     ) -> OffsetPage {
         let m = metrics();
         let start = Instant::now();
+        let mut scanned = 0u64;
         let mut total = 0usize;
         let mut items = Vec::new();
         for meta in metas {
-            m.rows_scanned.inc();
+            scanned += 1;
             if !self.matches(&meta) {
                 continue;
             }
@@ -250,6 +270,7 @@ impl Plan {
             }
             total += 1;
         }
+        m.rows_scanned.add(scanned);
         m.execute_us.observe(start.elapsed().as_micros() as u64);
         OffsetPage {
             items,
@@ -260,22 +281,23 @@ impl Plan {
     }
 
     /// Executes an aggregate plan: one pass over the scan, groups
-    /// keyed by the `GROUP BY` field (or one global group), emitted in
-    /// ascending key order with fields in select-list order.
+    /// keyed by the borrowed `GROUP BY` value (or one global group),
+    /// emitted in ascending key order with fields in select-list order.
     pub fn execute_groups<'a>(&self, metas: impl Iterator<Item = EntryMeta<'a>>) -> GroupRows {
         let Shape::Groups { key, items } = &self.shape else {
             unreachable!("execute_groups called on a rows plan");
         };
         let m = metrics();
         let start = Instant::now();
-        let mut groups: BTreeMap<Option<String>, Accum> = BTreeMap::new();
+        let mut scanned = 0u64;
+        let mut groups: BTreeMap<Option<&'a str>, Accum> = BTreeMap::new();
         for meta in metas {
-            m.rows_scanned.inc();
+            scanned += 1;
             if !self.matches(&meta) {
                 continue;
             }
-            let group = key.map(|f| match catalog::value_of(&meta, f) {
-                Some(FieldValue::Str(s)) => s.to_string(),
+            let group = key.map(|f| match (f.get)(&meta) {
+                Some(FieldValue::Str(s)) => s,
                 _ => unreachable!("group keys are always-present string fields"),
             });
             let acc = groups
@@ -284,10 +306,10 @@ impl Plan {
             acc.count += 1;
             for (i, item) in items.iter().enumerate() {
                 let field = match item {
-                    AggItem::Min(f) | AggItem::Max(f) | AggItem::Avg(f) => *f,
+                    AggItem::Min(f) | AggItem::Max(f) | AggItem::Avg(f) => f,
                     AggItem::Key | AggItem::Count => continue,
                 };
-                let Some(FieldValue::Int(v)) = catalog::value_of(&meta, field) else {
+                let Some(FieldValue::Int(v)) = (field.get)(&meta) else {
                     continue; // absent values don't contribute
                 };
                 let cell = &mut acc.cells[i];
@@ -297,7 +319,8 @@ impl Plan {
                 cell.max = Some(cell.max.map_or(v, |m: i64| m.max(v)));
             }
         }
-        let group_by = key.map(|f| catalog::FIELDS[f].name.to_string());
+        m.rows_scanned.add(scanned);
+        let group_by = key.map(|f| f.name.to_string());
         let mut out = Vec::with_capacity(groups.len());
         let limit = self.limit.map_or(usize::MAX, |l| l as usize);
         for (group, acc) in groups.into_iter().take(limit) {
@@ -307,20 +330,20 @@ impl Plan {
                 let (label, value) = match item {
                     AggItem::Key => {
                         let name = group_by.as_deref().expect("key item implies GROUP BY");
-                        let key = group.as_deref().expect("grouped scan has a key");
+                        let key = group.expect("grouped scan has a key");
                         (name.to_string(), Json::str(key))
                     }
                     AggItem::Count => ("count".to_string(), Json::int(acc.count)),
                     AggItem::Min(f) => (
-                        format!("min_{}", catalog::FIELDS[*f].name),
+                        format!("min_{}", f.name),
                         cell.min.map_or(Json::Null, Json::int),
                     ),
                     AggItem::Max(f) => (
-                        format!("max_{}", catalog::FIELDS[*f].name),
+                        format!("max_{}", f.name),
                         cell.max.map_or(Json::Null, Json::int),
                     ),
                     AggItem::Avg(f) => (
-                        format!("avg_{}", catalog::FIELDS[*f].name),
+                        format!("avg_{}", f.name),
                         if cell.n == 0 {
                             Json::Null
                         } else {

@@ -2,12 +2,14 @@
 //! [`crate::catalog`], producing an executable [`Plan`].
 
 use crate::ast::{CmpOp, Expr, FieldRef, Literal, Query, Select, SelectItemKind};
-use crate::catalog::{self, FieldType};
+use crate::catalog::{self, FieldDef, FieldType};
 use crate::error::QueryError;
 use crate::token::Span;
 
 /// A type-checked, name-resolved query, ready to execute. Field
-/// references are indices into [`catalog::FIELDS`].
+/// references are resolved to their [`catalog::FIELDS`] rows, so the
+/// executor reads each value through the row's accessor and never
+/// matches a name.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub(crate) filter: Option<Pred>,
@@ -22,21 +24,24 @@ pub(crate) enum Pred {
     Or(Box<Pred>, Box<Pred>),
     Not(Box<Pred>),
     Cmp {
-        field: usize,
+        field: Field,
         op: CmpOp,
         value: Literal,
     },
 }
 
+/// A resolved field reference.
+pub(crate) type Field = &'static FieldDef;
+
 /// What the plan produces.
 #[derive(Debug, Clone)]
 pub(crate) enum Shape {
     /// Entry-summary rows, optionally sorted by `(field, desc)` keys.
-    Rows { order: Vec<(usize, bool)> },
+    Rows { order: Vec<(Field, bool)> },
     /// Aggregate groups.
     Groups {
         /// The grouping field, or `None` for one global group.
-        key: Option<usize>,
+        key: Option<Field>,
         /// The select list, in order.
         items: Vec<AggItem>,
     },
@@ -50,11 +55,11 @@ pub(crate) enum AggItem {
     /// `COUNT(*)`.
     Count,
     /// `MIN(field)`.
-    Min(usize),
+    Min(Field),
     /// `MAX(field)`.
-    Max(usize),
+    Max(Field),
     /// `AVG(field)`.
-    Avg(usize),
+    Avg(Field),
 }
 
 impl Plan {
@@ -86,8 +91,10 @@ fn unknown_field(f: &FieldRef) -> QueryError {
     )
 }
 
-fn resolve_field(f: &FieldRef) -> Result<usize, QueryError> {
-    catalog::lookup(&f.name).ok_or_else(|| unknown_field(f))
+fn resolve_field(f: &FieldRef) -> Result<Field, QueryError> {
+    catalog::lookup(&f.name)
+        .map(|idx| &catalog::FIELDS[idx])
+        .ok_or_else(|| unknown_field(f))
 }
 
 fn resolve_expr(e: &Expr) -> Result<Pred, QueryError> {
@@ -107,8 +114,8 @@ fn resolve_expr(e: &Expr) -> Result<Pred, QueryError> {
             value,
             value_span,
         } => {
-            let idx = resolve_field(field)?;
-            let ty = catalog::FIELDS[idx].ty;
+            let def = resolve_field(field)?;
+            let ty = def.ty;
             let value_ty = match value {
                 Literal::Int(_) => FieldType::Int,
                 Literal::Str(_) => FieldType::Str,
@@ -137,7 +144,7 @@ fn resolve_expr(e: &Expr) -> Result<Pred, QueryError> {
                 ));
             }
             Ok(Pred::Cmp {
-                field: idx,
+                field: def,
                 op: *op,
                 value: value.clone(),
             })
@@ -152,8 +159,8 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
     let group_key = match &query.group_by {
         None => None,
         Some(f) => {
-            let idx = resolve_field(f)?;
-            if catalog::FIELDS[idx].ty != FieldType::Str {
+            let def = resolve_field(f)?;
+            if def.ty != FieldType::Str {
                 return Err(QueryError::new(
                     format!(
                         "GROUP BY {:?} is not supported; group by \"collection\" or \"class\"",
@@ -162,7 +169,7 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
                     f.span,
                 ));
             }
-            Some(idx)
+            Some(def)
         }
     };
 
@@ -189,24 +196,25 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
             }
             let mut resolved = Vec::new();
             for item in items {
-                let agg_field = |name: &str| -> Result<usize, QueryError> {
-                    let idx = catalog::lookup(name).ok_or_else(|| {
-                        unknown_field(&FieldRef {
-                            name: name.to_string(),
-                            span: item.span,
-                        })
-                    })?;
-                    if catalog::FIELDS[idx].ty != FieldType::Int {
+                let item_field = |name: &str| {
+                    resolve_field(&FieldRef {
+                        name: name.to_string(),
+                        span: item.span,
+                    })
+                };
+                let agg_field = |name: &str| -> Result<Field, QueryError> {
+                    let def = item_field(name)?;
+                    if def.ty != FieldType::Int {
                         return Err(QueryError::new(
                             format!(
                                 "aggregates require an integer field, but {:?} is {}",
                                 name,
-                                catalog::FIELDS[idx].ty.as_str()
+                                def.ty.as_str()
                             ),
                             item.span,
                         ));
                     }
-                    Ok(idx)
+                    Ok(def)
                 };
                 resolved.push(match &item.kind {
                     SelectItemKind::Count => AggItem::Count,
@@ -214,14 +222,9 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
                     SelectItemKind::Max(f) => AggItem::Max(agg_field(f)?),
                     SelectItemKind::Avg(f) => AggItem::Avg(agg_field(f)?),
                     SelectItemKind::Column(name) => {
-                        let idx = catalog::lookup(name).ok_or_else(|| {
-                            unknown_field(&FieldRef {
-                                name: name.clone(),
-                                span: item.span,
-                            })
-                        })?;
+                        let def = item_field(name)?;
                         match group_key {
-                            Some(key) if key == idx => AggItem::Key,
+                            Some(key) if std::ptr::eq(key, def) => AggItem::Key,
                             Some(_) => {
                                 return Err(QueryError::new(
                                     format!(

@@ -59,10 +59,11 @@ pub struct Entry {
 
 /// The lightweight per-entry metadata every backend can answer without
 /// hydrating the hypergraph payload: provenance, size counters, and the
-/// analysis record. This is what [`Filter`] conditions are evaluated
-/// against ([`Filter::matches_meta`]) and what [`aggregate_stats`]
-/// consumes, so a paged repository can run filtered scans and compute
-/// `/stats` aggregates without touching a single data page.
+/// analysis record. This is the row the HBQL executor
+/// (`hyperbench_query::exec`) evaluates predicates, sort keys and
+/// aggregates against, and what [`aggregate_stats`] consumes, so a
+/// paged repository can answer list pages, queries and `/stats`
+/// aggregates without touching a single data page.
 #[derive(Debug, Clone)]
 pub struct EntryMeta<'a> {
     /// Stable id within the repository.
@@ -234,26 +235,28 @@ impl Repository {
         entries[idx].analysis = Some(record);
     }
 
-    /// The scan order: insertion order in memory, the pack's sorted
-    /// keyset index on disk. Both are ascending-id — the invariant the
-    /// keyset cursor paging of [`Repository::select_after`] rests on.
-    fn ids(&self) -> IdIter<'_> {
-        match &self.backend {
-            Backend::Memory(entries) => IdIter::Entries(entries.iter()),
-            Backend::Paged(pack) => IdIter::Keyset(pack.keyset_ids()),
-        }
-    }
-
     /// All entries, in id order. On a paged repository this hydrates
     /// every entry (it is the full-export path behind [`store::save`]).
     pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.ids().map(move |id| self.entry(id))
+        match &self.backend {
+            Backend::Memory(entries) => Scan::Memory(entries.iter()),
+            Backend::Paged(pack) => Scan::Paged((0..pack.len()).map(move |row| {
+                pack.hydrate_row(row)
+                    .unwrap_or_else(|e| panic!("paged repository read failed: {e}"))
+            })),
+        }
     }
 
     /// The metadata of every entry, in id order — available without
-    /// hydration on a paged repository.
+    /// hydration on a paged repository. Both backends store their rows
+    /// ascending by id, so the scan walks them in place: no per-row
+    /// lookup, no allocation. That order is the invariant the keyset
+    /// cursor paging of [`Repository::select_after`] rests on.
     pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
-        self.ids().map(move |id| self.meta(id))
+        match &self.backend {
+            Backend::Memory(entries) => Scan::Memory(entries.iter().map(EntryMeta::of)),
+            Backend::Paged(pack) => Scan::Paged(pack.metas()),
+        }
     }
 
     /// The metadata of one entry.
@@ -351,9 +354,9 @@ impl Repository {
     /// against the metadata index, so a paged backend hydrates only the
     /// entries that match.
     pub fn select<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = &'a Entry> {
-        self.ids()
-            .filter(move |&id| filter.matches_meta(&self.meta(id)))
-            .map(move |id| self.entry(id))
+        self.metas()
+            .filter(move |meta| filter.matches_meta(meta))
+            .map(move |meta| self.entry(meta.id))
     }
 
     /// One page of filtered results plus the total match count — the
@@ -464,22 +467,22 @@ impl Repository {
     }
 }
 
-/// The id scan order of a repository backend (see [`Repository::ids`]).
-enum IdIter<'a> {
+/// A scan over one backend's rows, in stored (ascending-id) order.
+enum Scan<M, P> {
     /// In-memory backend: insertion order (ids ascending, possibly
     /// sparse after removals).
-    Entries(std::slice::Iter<'a, Entry>),
-    /// Paged backend: the pack's sorted keyset index.
-    Keyset(std::slice::Iter<'a, u64>),
+    Memory(M),
+    /// Paged backend: the pack's meta rows, ascending by id.
+    Paged(P),
 }
 
-impl Iterator for IdIter<'_> {
-    type Item = usize;
+impl<T, M: Iterator<Item = T>, P: Iterator<Item = T>> Iterator for Scan<M, P> {
+    type Item = T;
 
-    fn next(&mut self) -> Option<usize> {
+    fn next(&mut self) -> Option<T> {
         match self {
-            IdIter::Entries(entries) => entries.next().map(|e| e.id),
-            IdIter::Keyset(ids) => ids.next().map(|&id| id as usize),
+            Scan::Memory(rows) => rows.next(),
+            Scan::Paged(rows) => rows.next(),
         }
     }
 }

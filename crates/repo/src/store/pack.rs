@@ -36,10 +36,11 @@
 //! page table, parses the payload, and caches the [`Entry`] for the
 //! repository's lifetime.
 //!
-//! The meta section doubles as the filter index ([`EntryMeta`]), and
-//! the keyset index orders ids for `select_after` cursor paging — both
-//! live in memory after open, so filtered scans and aggregates never
-//! touch a data page.
+//! The meta section doubles as the scan index ([`EntryMeta`]): its rows
+//! are stored ascending by id, so a scan walks them in place, in the
+//! order `select_after` cursor paging needs, while the keyset index
+//! answers by-id lookups. Both live in memory after open, so filtered
+//! scans and aggregates never touch a data page.
 
 use std::fs::File;
 use std::io::Read;
@@ -85,6 +86,22 @@ struct MetaRow {
     analysis: Option<AnalysisRecord>,
 }
 
+impl MetaRow {
+    /// The borrowed metadata view of this row.
+    #[inline]
+    fn view(&self) -> EntryMeta<'_> {
+        EntryMeta {
+            id: self.id,
+            collection: &self.collection,
+            class: &self.class,
+            vertices: self.vertices,
+            edges: self.edges,
+            arity: self.arity,
+            analysis: self.analysis.as_ref(),
+        }
+    }
+}
+
 /// An open pack file: indexes resident, payloads on disk, hydrated
 /// entries cached per slot.
 pub struct PackStore {
@@ -93,7 +110,7 @@ pub struct PackStore {
     data_len: u64,
     page_sums: Vec<u64>,
     metas: Vec<MetaRow>,
-    /// Sorted ascending; backs keyset-cursor resume ordering.
+    /// Sorted ascending; the by-id lookup index behind `row_of`.
     keyset: Vec<u64>,
     slots: Vec<OnceLock<Entry>>,
 }
@@ -469,16 +486,13 @@ impl PackStore {
         let row = self
             .row_of(id)
             .unwrap_or_else(|| panic!("no entry with id {id}"));
-        let row = &self.metas[row];
-        EntryMeta {
-            id,
-            collection: &row.collection,
-            class: &row.class,
-            vertices: row.vertices,
-            edges: row.edges,
-            arity: row.arity,
-            analysis: row.analysis.as_ref(),
-        }
+        self.metas[row].view()
+    }
+
+    /// The metadata of every entry in stored order, which is ascending
+    /// by id (checked at open) — no disk access, no per-row lookup.
+    pub(crate) fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
+        self.metas.iter().map(MetaRow::view)
     }
 
     /// The stored content hash (FNV-1a 64 of the canonical `.hg`
@@ -486,12 +500,6 @@ impl PackStore {
     pub(crate) fn content_hash_at_row(&self, row: usize) -> (usize, u64) {
         let m = &self.metas[row];
         (m.id, m.content_hash)
-    }
-
-    /// The sorted keyset index: the id order every metadata scan (and
-    /// therefore `select_after` cursor paging) runs in.
-    pub(crate) fn keyset_ids(&self) -> std::slice::Iter<'_, u64> {
-        self.keyset.iter()
     }
 
     /// Returns the hydrated entry at row index `row`, reading and

@@ -4,7 +4,7 @@
 //! text.
 //!
 //! Recording is wait-free: a counter increment is one relaxed
-//! `fetch_add`; a histogram observation is three relaxed `fetch_add`s
+//! `fetch_add`; a histogram observation is two relaxed `fetch_add`s
 //! on a shard owned (statistically) by the recording thread. The
 //! registry's mutex is touched only at registration (startup) and
 //! snapshot (a `/metrics` scrape), never on the record path.
@@ -86,7 +86,9 @@ impl Gauge {
     }
 }
 
-/// One histogram shard: a fixed bucket array plus sum and count.
+/// One histogram shard: a fixed bucket array plus the sum. The count is
+/// not stored — it is the bucket total, so a snapshot's count and
+/// buckets agree by construction.
 /// Padded to its own cache lines would be nicer, but distinct
 /// allocations inside the array already keep cross-thread interference
 /// modest, and the record path stays allocation-free either way.
@@ -94,7 +96,6 @@ impl Gauge {
 struct HistShard {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 /// A fixed-bucket log₂-scale histogram with per-thread shards.
@@ -143,27 +144,25 @@ impl Histogram {
         let shard = &self.shards[shard_of_current_thread()];
         shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(v, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merges all shards into a point-in-time snapshot. Concurrent
-    /// recording may land an observation's bucket and count in
-    /// different scrapes; both only ever grow.
+    /// Merges all shards into a point-in-time snapshot. `count` is the
+    /// merged bucket total, so it always equals the sum of `buckets`;
+    /// concurrent recording may land an observation's bucket and sum
+    /// in different scrapes, and both only ever grow.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut sum = 0u64;
-        let mut count = 0u64;
         for shard in &self.shards {
             for (acc, b) in buckets.iter_mut().zip(shard.buckets.iter()) {
                 *acc += b.load(Ordering::Relaxed);
             }
             sum += shard.sum.load(Ordering::Relaxed);
-            count += shard.count.load(Ordering::Relaxed);
         }
         HistogramSnapshot {
             buckets,
             sum,
-            count,
+            count: buckets.iter().sum(),
         }
     }
 }
