@@ -76,8 +76,8 @@ fn opt_int_json(v: Option<usize>) -> Json {
 pub enum AnalyzeMethod {
     /// Hypertree decompositions — iterative `Check(HD,k)` (default).
     Hd,
-    /// Generalized hypertree decompositions — the §6.4 three-way race
-    /// per `k`.
+    /// Generalized hypertree decompositions — the §6.4 first-of-three
+    /// race per `k`, run as a one-thread time-sliced portfolio.
     Ghd,
     /// Fractionally improved decompositions — an HD witness improved by
     /// `ImproveHD` (§6.5); reports a fractional width upper bound.

@@ -1,6 +1,6 @@
 //! Incremental hypergraph construction with string interning.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::bitset::BitSet;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
@@ -117,6 +117,12 @@ impl HypergraphBuilder {
             .map(|e| e.into_iter().map(|v| remap[v as usize]).collect())
             .collect();
 
+        // A deduplicating builder never keeps a repeated vertex set.
+        let has_duplicate_edges = !self.dedupe && {
+            let mut seen = HashSet::with_capacity(edges.len());
+            !edges.iter().all(|e| seen.insert(e.as_slice()))
+        };
+
         let mut incidence: Vec<Vec<EdgeId>> = vec![Vec::new(); vertex_names.len()];
         let mut edge_sets = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
@@ -137,6 +143,7 @@ impl HypergraphBuilder {
             edges,
             edge_sets,
             incidence,
+            has_duplicate_edges,
         }
     }
 }

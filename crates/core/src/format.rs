@@ -93,7 +93,9 @@ pub fn parse_hg_named(input: &str, name: &str) -> Result<Hypergraph, CoreError> 
 }
 
 /// Serializes a hypergraph to HG text. Parsing the output reproduces the
-/// hypergraph (up to edge order, which is preserved).
+/// hypergraph, edge order included, after multi-edge elimination: an edge
+/// whose vertex set repeats an earlier edge's is left out, as the parser
+/// would drop it (see [`Hypergraph::distinct_edge_ids`]).
 pub fn to_hg(h: &Hypergraph) -> String {
     let mut out = String::new();
     if !h.name().is_empty() {
@@ -114,14 +116,18 @@ pub fn to_hg_unnamed(h: &Hypergraph) -> String {
 }
 
 fn write_hg_edges(h: &Hypergraph, out: &mut String) {
-    let m = h.num_edges();
-    for e in h.edge_ids() {
+    let start = out.len();
+    for e in h.distinct_edge_ids() {
         let vs: Vec<&str> = h.edge(e).iter().map(|&v| h.vertex_name(v)).collect();
         out.push_str(h.edge_name(e));
         out.push('(');
         out.push_str(&vs.join(","));
-        out.push(')');
-        out.push_str(if e as usize + 1 == m { ".\n" } else { ",\n" });
+        out.push_str("),\n");
+    }
+    // The last edge ends the list with '.' instead of ','.
+    if out.len() > start {
+        out.truncate(out.len() - 2);
+        out.push_str(".\n");
     }
 }
 

@@ -5,6 +5,8 @@
 //! are no isolated vertices, so `V(H)` is exactly the union of the edges and
 //! the hypergraph can be identified with its edge set.
 
+use std::collections::HashSet;
+
 use crate::bitset::BitSet;
 
 /// Identifier of a vertex within a [`Hypergraph`] (dense, `0..num_vertices`).
@@ -29,6 +31,8 @@ pub struct Hypergraph {
     pub(crate) edge_sets: Vec<BitSet>,
     /// For each vertex, the sorted list of edges containing it.
     pub(crate) incidence: Vec<Vec<EdgeId>>,
+    /// Whether some edge repeats an earlier edge's vertex set.
+    pub(crate) has_duplicate_edges: bool,
 }
 
 impl Hypergraph {
@@ -98,6 +102,16 @@ impl Hypergraph {
     /// Iterates over all edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
         0..self.edges.len() as EdgeId
+    }
+
+    /// Iterates over the edges whose vertex set differs from every earlier
+    /// edge's: the edges that survive multi-edge elimination (§5.4), in
+    /// order. All of them unless the hypergraph was built without
+    /// [`crate::HypergraphBuilder::dedupe_edges`].
+    pub fn distinct_edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        let mut seen: HashSet<&[VertexId]> = HashSet::new();
+        self.edge_ids()
+            .filter(move |&e| !self.has_duplicate_edges || seen.insert(self.edge(e)))
     }
 
     /// Iterates over all vertex ids.

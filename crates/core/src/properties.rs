@@ -107,11 +107,14 @@ pub fn is_cd_hypergraph(h: &Hypergraph, c: usize, d: usize) -> bool {
 ///   representative (they can never be separated by a trace).
 /// * The family of shattered sets is downward closed, so sets are extended
 ///   one vertex at a time in increasing id order.
+/// * A shattered set `X` needs `2^|X|` distinct traces and each of the `m`
+///   edges leaves one, so no level beyond `|X| = ⌊log2 m⌋` is searched.
 /// * `budget` bounds the number of shatter checks; `Err(BudgetExhausted)`
 ///   is returned when exceeded (the paper reports VC-dimension timeouts for
 ///   7 random CSP instances).
 pub fn vc_dimension(h: &Hypergraph, budget: u64) -> Result<usize, CoreError> {
-    if h.num_edges() == 0 {
+    let m = h.num_edges();
+    if m == 0 {
         return Ok(0);
     }
     // Representatives: one vertex per distinct incidence profile.
@@ -125,18 +128,20 @@ pub fn vc_dimension(h: &Hypergraph, budget: u64) -> Result<usize, CoreError> {
         }
     }
 
-    // 2^|X| distinct traces are needed, and there are at most m+1 distinct
-    // traces (m edges plus possibly the empty trace), so |X| ≤ log2(m+1).
-    let m = h.num_edges();
-    let max_dim = (usize::BITS - (m + 1).leading_zeros()) as usize; // ⌈log2(m+1)⌉ bound
+    let max_dim = m.ilog2() as usize;
     let mut checks: u64 = 0;
-
-    let mut current: Vec<Vec<u32>> = vec![vec![]];
+    let mut scratch = ShatterScratch::default();
+    // The shattered sets of size `dim`, stored back to back; level 0 holds
+    // the empty set.
+    let mut current: Vec<u32> = Vec::new();
+    let mut next: Vec<u32> = Vec::new();
     let mut dim = 0;
     while dim < max_dim {
-        let mut next: Vec<Vec<u32>> = Vec::new();
-        for x in &current {
+        next.clear();
+        let sets = current.len().checked_div(dim).unwrap_or(1);
+        for x in (0..sets).map(|s| &current[s * dim..(s + 1) * dim]) {
             let start = x.last().map(|&v| v + 1).unwrap_or(0);
+            scratch.load(h, x);
             for &v in reps.iter().filter(|&&r| r >= start) {
                 checks += 1;
                 if checks > budget {
@@ -144,10 +149,9 @@ pub fn vc_dimension(h: &Hypergraph, budget: u64) -> Result<usize, CoreError> {
                         what: "VC-dimension",
                     });
                 }
-                let mut cand = x.clone();
-                cand.push(v);
-                if is_shattered(h, &cand) {
-                    next.push(cand);
+                if scratch.shattered_with(h, v) {
+                    next.extend_from_slice(x);
+                    next.push(v);
                 }
             }
         }
@@ -155,13 +159,73 @@ pub fn vc_dimension(h: &Hypergraph, budget: u64) -> Result<usize, CoreError> {
             return Ok(dim);
         }
         dim += 1;
-        current = next;
+        std::mem::swap(&mut current, &mut next);
     }
     Ok(dim)
 }
 
+/// The reusable workspace of [`vc_dimension`]'s shatter check: the trace
+/// of one set `x` on every edge, and a bitmap of the traces seen so far.
+#[derive(Default)]
+struct ShatterScratch {
+    /// Bit `i` of `traces[e]` is set when edge `e` contains `x[i]`.
+    traces: Vec<u32>,
+    /// `x.len()` of the loaded set.
+    len: usize,
+    /// One bit per possible trace of `x ∪ {v}`.
+    seen: Vec<u64>,
+}
+
+impl ShatterScratch {
+    /// Records the trace of `x` (sorted, `|x| < 31`) on every edge of `h`.
+    fn load(&mut self, h: &Hypergraph, x: &[u32]) {
+        assert!(x.len() < 31, "shatter check limited to 30 vertices");
+        self.len = x.len();
+        self.traces.clear();
+        self.traces.extend(h.edge_ids().map(|e| {
+            let es = h.edge_set(e);
+            x.iter()
+                .enumerate()
+                .filter(|&(_, &u)| es.contains(u))
+                .fold(0u32, |mask, (i, _)| mask | 1 << i)
+        }));
+    }
+
+    /// Whether `x ∪ {v}` is shattered, for the `x` last [`load`]ed and a
+    /// vertex `v` not in it. Returns as soon as every trace has been seen,
+    /// or once the remaining edges are too few to supply the missing ones.
+    ///
+    /// [`load`]: ShatterScratch::load
+    fn shattered_with(&mut self, h: &Hypergraph, v: u32) -> bool {
+        let need = 1usize << (self.len + 1);
+        let m = self.traces.len();
+        if m < need {
+            return false;
+        }
+        self.seen.clear();
+        self.seen.resize(need.div_ceil(64), 0);
+        let mut found = 0;
+        for (e, &trace) in self.traces.iter().enumerate() {
+            let t = (trace | u32::from(h.edge_set(e as u32).contains(v)) << self.len) as usize;
+            let (word, mask) = (t / 64, 1u64 << (t % 64));
+            if self.seen[word] & mask == 0 {
+                self.seen[word] |= mask;
+                found += 1;
+                if found == need {
+                    return true;
+                }
+            }
+            if found + (m - e - 1) < need {
+                return false;
+            }
+        }
+        false
+    }
+}
+
 /// Whether `x` (sorted vertex ids, `|x| ≤ 30`) is shattered:
-/// `{e ∩ x | e ∈ E(H)} = 2^x`.
+/// `{e ∩ x | e ∈ E(H)} = 2^x`. The plain definition, kept as the
+/// reference [`vc_dimension`]'s shatter check is tested against.
 pub fn is_shattered(h: &Hypergraph, x: &[u32]) -> bool {
     assert!(x.len() <= 30, "shatter check limited to 30 vertices");
     let need = 1u64 << x.len();
@@ -213,6 +277,7 @@ pub fn structural_properties(h: &Hypergraph, vc_budget: u64) -> StructuralProper
 mod tests {
     use super::*;
     use crate::builder::hypergraph_from_edges;
+    use proptest::prelude::*;
 
     fn triangle() -> Hypergraph {
         hypergraph_from_edges(&[("R", &["a", "b"]), ("S", &["b", "c"]), ("T", &["c", "a"])])
@@ -319,6 +384,60 @@ mod tests {
         assert_eq!(p.bmip3, 0);
         assert_eq!(p.bmip4, 0);
         assert_eq!(p.vc_dim, Some(1));
+    }
+
+    /// Builds a hypergraph from edges given as vertex indices (duplicate
+    /// edges kept, so traces can repeat).
+    fn from_shape(shape: &[Vec<u8>]) -> Hypergraph {
+        let mut b = crate::HypergraphBuilder::named("random");
+        for (i, edge) in shape.iter().enumerate() {
+            let names: Vec<String> = edge.iter().map(|v| format!("v{v}")).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            b.add_edge(&format!("e{i}"), &refs);
+        }
+        b.build()
+    }
+
+    /// The VC-dimension by brute force over every vertex subset.
+    fn brute_force_vc(h: &Hypergraph) -> usize {
+        let n = h.num_vertices() as u32;
+        (0u32..1 << n)
+            .map(|bits| (0..n).filter(|v| bits & 1 << v != 0).collect::<Vec<u32>>())
+            .filter(|x| is_shattered(h, x))
+            .map(|x| x.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn shatter_kernel_agrees_with_is_shattered(
+            shape in prop::collection::vec(prop::collection::vec(0u8..8, 1..=5), 1..=20),
+            picks in prop::collection::vec(0u32..8, 1..=4),
+        ) {
+            let h = from_shape(&shape);
+            let mut x: Vec<u32> = picks.iter().map(|&p| p % h.num_vertices() as u32).collect();
+            x.sort_unstable();
+            x.dedup();
+            // One scratch for every split, as `vc_dimension` reuses it.
+            let mut scratch = ShatterScratch::default();
+            for (i, &v) in x.iter().enumerate() {
+                let mut rest = x.clone();
+                rest.remove(i);
+                scratch.load(&h, &rest);
+                prop_assert_eq!(scratch.shattered_with(&h, v), is_shattered(&h, &x));
+            }
+        }
+
+        #[test]
+        fn vc_dimension_agrees_with_brute_force(
+            shape in prop::collection::vec(prop::collection::vec(0u8..7, 0..=5), 1..=24),
+        ) {
+            let h = from_shape(&shape);
+            prop_assert_eq!(vc_dimension(&h, u64::MAX).unwrap(), brute_force_vc(&h));
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Every decomposition search accepts a [`Budget`]. Budgets carry an
 //! optional wall-clock deadline (the paper uses a 3600 s timeout; the
-//! laptop-scale harness uses much smaller ones) and an optional shared
-//! cancellation flag used by the first-of-three GHD race (§6.4).
+//! laptop-scale harness uses much smaller ones). The first-of-three GHD
+//! race (§6.4) needs nothing more: it runs its contestants one at a time,
+//! each under a budget whose deadline ends its time slice.
 //!
 //! For the parallel engine, budgets additionally carry a chain of
 //! *cancel scopes* ([`Budget::child_scope`]): when sibling subtasks run
@@ -58,11 +59,10 @@ impl CancelScope {
     }
 }
 
-/// A search budget. Cheap to clone; clones share the cancellation flag.
+/// A search budget. Cheap to clone; clones share the cancel scopes.
 #[derive(Clone, Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
     scope: Option<Arc<ScopeNode>>,
     trace_id: u64,
 }
@@ -73,7 +73,6 @@ impl Default for Budget {
     fn default() -> Budget {
         Budget {
             deadline: None,
-            cancel: None,
             scope: None,
             trace_id: hyperbench_telemetry::current_request_id(),
         }
@@ -104,16 +103,10 @@ impl Budget {
         self.trace_id
     }
 
-    /// Attaches a shared cancellation flag (for races).
-    pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Budget {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// Derives a budget for a group of sibling subtasks plus the handle
     /// that cancels exactly that group. The derived budget inherits the
-    /// deadline, the race flag and every enclosing scope, so a stop at
-    /// any level above still propagates.
+    /// deadline and every enclosing scope, so a stop at any level above
+    /// still propagates.
     pub fn child_scope(&self) -> (Budget, CancelScope) {
         let node = Arc::new(ScopeNode {
             flag: AtomicBool::new(false),
@@ -121,23 +114,17 @@ impl Budget {
         });
         let budget = Budget {
             deadline: self.deadline,
-            cancel: self.cancel.clone(),
             scope: Some(node.clone()),
             trace_id: self.trace_id,
         };
         (budget, CancelScope(node))
     }
 
-    /// Whether the budget is exhausted (deadline passed, race cancelled,
-    /// or any enclosing cancel scope tripped).
+    /// Whether the budget is exhausted (deadline passed, or any
+    /// enclosing cancel scope tripped).
     pub fn is_stopped(&self) -> bool {
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
-                return true;
-            }
-        }
-        if let Some(c) = &self.cancel {
-            if c.load(Ordering::Relaxed) {
                 return true;
             }
         }
@@ -147,33 +134,6 @@ impl Budget {
             }
         }
         false
-    }
-
-    /// Whether the budget stopped for a reason *other* than a local
-    /// cancel scope — i.e. the deadline passed or the race flag fired.
-    /// Lets a caller that observed `Stopped` tell a genuine timeout
-    /// apart from a sibling-induced cancellation. (The engine's own fork
-    /// aggregation doesn't need it — it reads the sibling *results*
-    /// instead — but external drivers composing their own scopes do.)
-    pub fn is_hard_stopped(&self) -> bool {
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return true;
-            }
-        }
-        if let Some(c) = &self.cancel {
-            if c.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Signals cancellation to every clone of this budget.
-    pub fn cancel(&self) {
-        if let Some(c) = &self.cancel {
-            c.store(true, Ordering::Relaxed);
-        }
     }
 }
 
@@ -250,29 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flag_is_shared() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b1 = Budget::unlimited().with_cancel_flag(flag.clone());
-        let b2 = b1.clone();
-        assert!(!b2.is_stopped());
-        b1.cancel();
-        assert!(b2.is_stopped());
-    }
-
-    #[test]
     fn ticker_detects_cancel_within_interval() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let b = Budget::unlimited().with_cancel_flag(flag);
+        let (b, scope) = Budget::unlimited().child_scope();
         let mut t = Ticker::new(&b);
-        b.cancel();
+        scope.cancel();
         let mut stopped = false;
-        for _ in 0..2048 {
+        for _ in 0..Ticker::INTERVAL {
             if t.tick().is_err() {
                 stopped = true;
                 break;
             }
         }
-        assert!(stopped);
+        assert!(
+            stopped,
+            "a cancelled scope must stop the ticker within one interval"
+        );
+        assert_eq!(t.ticks(), Ticker::INTERVAL);
     }
 
     #[test]
@@ -287,8 +240,6 @@ mod tests {
         assert!(grandchild.is_stopped());
         // The parent budget is unaffected: cancellation flows down only.
         assert!(!root.is_stopped());
-        // A scope cancel is not a hard stop.
-        assert!(!child.is_hard_stopped());
     }
 
     #[test]
@@ -312,17 +263,5 @@ mod tests {
             assert_eq!(child.trace_id(), 77);
             assert_eq!(b.clone().trace_id(), 77);
         });
-    }
-
-    #[test]
-    fn hard_stop_includes_deadline_and_race_flag() {
-        let b = Budget::with_timeout(Duration::from_millis(0));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(b.is_hard_stopped());
-        let flag = Arc::new(AtomicBool::new(false));
-        let r = Budget::unlimited().with_cancel_flag(flag);
-        let (derived, _scope) = r.child_scope();
-        r.cancel();
-        assert!(derived.is_hard_stopped());
     }
 }

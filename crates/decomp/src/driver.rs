@@ -1,10 +1,10 @@
 //! Width-search drivers: `Check(HD,k)` / `Check(GHD,k)` wrappers with
 //! uniform outcomes, the iterative hw search of §6.2 (Figure 4) and the
-//! "run GlobalBIP, LocalBIP and BalSep in parallel and take the first one
-//! to terminate" race of §6.4 (Table 4).
+//! "first of GlobalBIP, LocalBIP and BalSep to terminate" race of §6.4
+//! (Table 4). The paper runs the three in parallel; [`race_ghd_opts`]
+//! runs them as a portfolio on the caller's thread, in time slices that
+//! double each round, so a race costs one thread whatever the answer.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperbench_core::subedges::SubedgeConfig;
@@ -175,16 +175,33 @@ pub fn check_ghd_opts(
     cfg: &SubedgeConfig,
     opts: &Options,
 ) -> Outcome {
+    search_ghd(h, k, algo, budget, cfg, opts).into()
+}
+
+/// [`check_ghd_opts`] before the fold into an [`Outcome`], which maps
+/// both an expired budget (`Stopped`) and a truncated subedge
+/// enumeration (`NotFoundUncertified`) to `Timeout`. The portfolio needs
+/// the difference: only the first is worth another slice.
+fn search_ghd(
+    h: &Hypergraph,
+    k: usize,
+    algo: GhdAlgorithm,
+    budget: &Budget,
+    cfg: &SubedgeConfig,
+    opts: &Options,
+) -> SearchResult {
     match algo {
-        GhdAlgorithm::GlobalBip => decompose_globalbip_opts(h, k, budget, cfg, opts).into(),
-        GhdAlgorithm::LocalBip => decompose_localbip_opts(h, k, budget, cfg, opts).into(),
-        GhdAlgorithm::BalSep => {
-            let bcfg = BalsepConfig {
-                subedge_cfg: *cfg,
-                ..BalsepConfig::default()
-            };
-            decompose_balsep_opts(h, k, budget, &bcfg, opts).into()
-        }
+        GhdAlgorithm::GlobalBip => decompose_globalbip_opts(h, k, budget, cfg, opts),
+        GhdAlgorithm::LocalBip => decompose_localbip_opts(h, k, budget, cfg, opts),
+        GhdAlgorithm::BalSep => decompose_balsep_opts(h, k, budget, &balsep_config(cfg), opts),
+    }
+}
+
+/// The default BalSep configuration over the subedge settings `cfg`.
+fn balsep_config(cfg: &SubedgeConfig) -> BalsepConfig {
+    BalsepConfig {
+        subedge_cfg: *cfg,
+        ..BalsepConfig::default()
     }
 }
 
@@ -210,11 +227,7 @@ pub fn check_ghd_hybrid_opts(
     cfg: &SubedgeConfig,
     opts: &Options,
 ) -> Outcome {
-    let bcfg = BalsepConfig {
-        subedge_cfg: *cfg,
-        ..BalsepConfig::default()
-    };
-    decompose_hybrid_opts(h, k, budget, &bcfg, switch_depth, opts).into()
+    decompose_hybrid_opts(h, k, budget, &balsep_config(cfg), switch_depth, opts).into()
 }
 
 /// Result of the first-of-three race (§6.4, Table 4).
@@ -224,23 +237,49 @@ pub struct RaceResult {
     pub outcome: Outcome,
     /// Which algorithm produced it (`None` on timeout).
     pub winner: Option<GhdAlgorithm>,
-    /// Wall-clock time of the race.
+    /// Wall-clock time of the race. The race runs on one thread, so
+    /// this is the time of all contestants' slices together, not of the
+    /// winner alone as in the paper's parallel race.
     pub elapsed: Duration,
 }
 
-/// Runs all three GHD algorithms in parallel on `Check(GHD,k)`; the first
-/// definitive answer wins and the losers are cancelled. This mirrors the
-/// paper's §6.4 setup: "we run our three algorithms in parallel and stop
-/// the computation as soon as one terminates."
+/// The order in which the portfolio runs its contestants each round. A
+/// width search asks `Check(GHD,k)` for `k = 2, 3, …`, and every `k`
+/// below the answer is a "no"; BalSep is the paper's fast no-prover
+/// (§6.4), so it goes first. GlobalBIP and LocalBIP follow in the
+/// paper's order.
+const PORTFOLIO: [GhdAlgorithm; 3] = [
+    GhdAlgorithm::BalSep,
+    GhdAlgorithm::GlobalBip,
+    GhdAlgorithm::LocalBip,
+];
+
+/// The portfolio's first time slice. BalSep proves most "no"s of small
+/// instances well within a millisecond, so the first round often ends the
+/// race. Each round doubles the slice, which bounds the waste of
+/// restarting from scratch: the slices a contestant loses before the one
+/// it finishes in add up to less than twice the time it needs.
+const FIRST_SLICE: Duration = Duration::from_millis(1);
+
+/// Runs the three GHD algorithms on `Check(GHD,k)` as a portfolio; the
+/// first definitive answer wins. The paper's §6.4 setup runs them in
+/// parallel and "stop[s] the computation as soon as one terminates";
+/// see [`race_ghd_opts`] for how this one shares a single thread.
 pub fn race_ghd(h: &Hypergraph, k: usize, timeout: Duration, cfg: &SubedgeConfig) -> RaceResult {
     race_ghd_opts(h, k, timeout, cfg, &Options::serial())
 }
 
-/// [`race_ghd`] with an explicit engine configuration. The `jobs` budget
-/// is the *per-algorithm* worker count: the race always runs its three
-/// contestants concurrently, and each contestant's internal search
-/// additionally uses `ceil(jobs / 3)` workers, so the total thread
-/// budget stays proportional to the knob.
+/// [`race_ghd`] with an explicit engine configuration.
+///
+/// The race runs on the caller's thread and spawns none of its own. In
+/// each round every remaining contestant (BalSep, GlobalBIP, LocalBIP, in
+/// that order) searches from scratch for one time slice: 1 ms in the
+/// first round, doubling each round, and never past `timeout`. The first
+/// `yes` or certified `no` wins. A contestant whose slice runs out is run
+/// again next round; one whose subedge enumeration was truncated (an
+/// uncertified "no") leaves the race, and when none is left the race
+/// ends in `Timeout` at once. Since one contestant runs at a time, each
+/// gets the whole `opts.jobs` worker budget.
 pub fn race_ghd_opts(
     h: &Hypergraph,
     k: usize,
@@ -249,44 +288,37 @@ pub fn race_ghd_opts(
     opts: &Options,
 ) -> RaceResult {
     let start = Instant::now();
-    let flag = Arc::new(AtomicBool::new(false));
-    let budget = Budget::with_timeout(timeout).with_cancel_flag(flag);
-    let per_algo = Options::with_jobs(opts.effective_jobs().div_ceil(GhdAlgorithm::ALL.len()));
-
-    let result = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for algo in GhdAlgorithm::ALL {
-            let budget = budget.clone();
-            let handle = scope.spawn(move || {
-                let out = check_ghd_opts(h, k, algo, &budget, cfg, &per_algo);
-                if out.is_decided() {
-                    budget.cancel();
+    let deadline = start + timeout;
+    let mut contestants = PORTFOLIO.to_vec();
+    let mut slice = FIRST_SLICE;
+    let (winner, result) = 'race: loop {
+        let mut i = 0;
+        while i < contestants.len() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break 'race (None, SearchResult::Stopped);
+            }
+            let algo = contestants[i];
+            let budget = Budget::with_timeout(slice.min(left));
+            match search_ghd(h, k, algo, &budget, cfg, opts) {
+                SearchResult::Stopped => i += 1,
+                SearchResult::NotFoundUncertified => {
+                    contestants.remove(i);
                 }
-                (algo, out)
-            });
-            handles.push(handle);
-        }
-        let mut winner: Option<(GhdAlgorithm, Outcome)> = None;
-        for handle in handles {
-            let (algo, out) = handle.join().expect("race thread panicked");
-            if out.is_decided() && winner.is_none() {
-                winner = Some((algo, out));
+                decided => break 'race (Some(algo), decided),
             }
         }
-        winner
-    });
-
-    match result {
-        Some((algo, outcome)) => RaceResult {
-            outcome,
-            winner: Some(algo),
-            elapsed: start.elapsed(),
-        },
-        None => RaceResult {
-            outcome: Outcome::Timeout,
-            winner: None,
-            elapsed: start.elapsed(),
-        },
+        if contestants.is_empty() {
+            break (None, SearchResult::NotFoundUncertified);
+        }
+        slice = slice.saturating_mul(2);
+    };
+    RaceResult {
+        // One conversion per race, so a race that runs out of time counts
+        // one cancellation however many slices expired.
+        outcome: result.into(),
+        winner,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -388,8 +420,9 @@ fn width_search(k_max: usize, mut check: impl FnMut(usize) -> Outcome) -> HwResu
 /// Iteratively solves `Check(GHD,k)` for `k = 1, 2, …` — the ghw
 /// analogue of [`hypertree_width`], backing the server's `method=ghd`
 /// analyses. `k = 1` takes the linear-time GYO fast path (ghw = 1 iff
-/// hw = 1 iff α-acyclic); larger `k` runs the §6.4 three-way race so the
-/// fastest of GlobalBIP/LocalBIP/BalSep answers each check.
+/// hw = 1 iff α-acyclic); larger `k` runs the §6.4 first-of-three race
+/// ([`race_ghd_opts`]), a one-thread portfolio of BalSep, GlobalBIP and
+/// LocalBIP, so the fastest of them answers each check.
 pub fn generalized_hypertree_width(
     h: &Hypergraph,
     k_max: usize,
@@ -400,8 +433,9 @@ pub fn generalized_hypertree_width(
 }
 
 /// [`generalized_hypertree_width`] with an explicit engine
-/// configuration: each per-`k` race divides the `jobs` budget among its
-/// three contestants (see [`race_ghd_opts`]).
+/// configuration: each per-`k` race runs one contestant at a time on the
+/// caller's thread, and that contestant gets all `opts.jobs` workers (see
+/// [`race_ghd_opts`]).
 pub fn generalized_hypertree_width_opts(
     h: &Hypergraph,
     k_max: usize,
@@ -502,6 +536,131 @@ mod tests {
         let h = triangle();
         let r = race_ghd(&h, 1, Duration::from_secs(20), &SubedgeConfig::default());
         assert_eq!(r.outcome.label(), "no");
+    }
+
+    /// The complete graph on `n` vertices, one binary edge per pair.
+    fn clique(n: usize) -> Hypergraph {
+        let mut b = hyperbench_core::HypergraphBuilder::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                b.add_edge(&format!("e{i}_{j}"), &[format!("v{i}"), format!("v{j}")]);
+            }
+        }
+        b.build()
+    }
+
+    /// The `rows × cols` grid graph.
+    fn grid(rows: usize, cols: usize) -> Hypergraph {
+        let mut b = hyperbench_core::HypergraphBuilder::new();
+        let v = |i: usize, j: usize| format!("v{i}_{j}");
+        for i in 0..rows {
+            for j in 0..cols {
+                if j + 1 < cols {
+                    b.add_edge(&format!("h{i}_{j}"), &[v(i, j), v(i, j + 1)]);
+                }
+                if i + 1 < rows {
+                    b.add_edge(&format!("v{i}_{j}"), &[v(i, j), v(i + 1, j)]);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn portfolio_agrees_with_every_certified_standalone_answer() {
+        let cfg = SubedgeConfig::default();
+        let cycle5 = hypergraph_from_edges(&[
+            ("e0", &["a", "b"]),
+            ("e1", &["b", "c"]),
+            ("e2", &["c", "d"]),
+            ("e3", &["d", "e"]),
+            ("e4", &["e", "a"]),
+        ]);
+        // (instance, the k to check): ghw is 2 for the cycle and the
+        // 3×3 grid, 3 for K5, K6 and the 4×4 grid, and 4 for K8.
+        let cases = [
+            ("triangle", triangle(), 1..=3),
+            ("cycle5", cycle5, 1..=3),
+            ("K5", clique(5), 1..=3),
+            ("K6", clique(6), 1..=3),
+            ("K8", clique(8), 4..=4),
+            ("grid3x3", grid(3, 3), 1..=3),
+            ("grid4x4", grid(4, 4), 1..=3),
+        ];
+        let (mut yes, mut no) = (0, 0);
+        for (name, h, ks) in &cases {
+            for k in ks.clone() {
+                let standalone: Vec<&str> = GhdAlgorithm::ALL
+                    .iter()
+                    .map(|&algo| {
+                        check_ghd(
+                            h,
+                            k,
+                            algo,
+                            &Budget::with_timeout(Duration::from_secs(5)),
+                            &cfg,
+                        )
+                        .label()
+                    })
+                    .filter(|&label| label != "timeout")
+                    .collect();
+                let Some(&want) = standalone.first() else {
+                    continue;
+                };
+                assert!(
+                    standalone.iter().all(|&l| l == want),
+                    "{name} k={k}: {standalone:?}"
+                );
+                let r = race_ghd(h, k, Duration::from_secs(20), &cfg);
+                assert_eq!(r.outcome.label(), want, "{name} k={k}");
+                assert!(
+                    r.winner.is_some(),
+                    "{name} k={k}: a decided race has a winner"
+                );
+                match r.outcome {
+                    Outcome::Yes(d) => {
+                        crate::validate::validate_ghd_with_width(h, &d, k).unwrap();
+                        yes += 1;
+                    }
+                    _ => no += 1,
+                }
+            }
+        }
+        assert_eq!((yes, no), (10, 9), "decided checks (yes, no)");
+    }
+
+    #[test]
+    fn portfolio_gives_up_at_once_when_every_contestant_hits_the_subedge_cap() {
+        // Check(GHD,2) on K5 is a "no" that every contestant needs
+        // subedges to certify; a cap of one subedge truncates them all.
+        let capped = SubedgeConfig {
+            max_total: 1,
+            ..SubedgeConfig::default()
+        };
+        for algo in GhdAlgorithm::ALL {
+            let out = check_ghd(&clique(5), 2, algo, &Budget::unlimited(), &capped);
+            assert_eq!(out.label(), "timeout", "{}", algo.name());
+        }
+        let deadline = Duration::from_secs(10);
+        let r = race_ghd(&clique(5), 2, deadline, &capped);
+        assert_eq!(r.outcome.label(), "timeout");
+        assert_eq!(r.winner, None);
+        assert!(r.elapsed < deadline / 10, "took {:?}", r.elapsed);
+    }
+
+    #[test]
+    fn undecidable_portfolio_times_out_at_its_deadline() {
+        // ghw(K12) = 6; no contestant settles k = 4 in 50 ms.
+        let deadline = Duration::from_millis(50);
+        let r = race_ghd(&clique(12), 4, deadline, &SubedgeConfig::default());
+        assert_eq!(r.outcome.label(), "timeout");
+        assert_eq!(r.winner, None);
+        assert!(r.elapsed >= deadline, "stopped early: {:?}", r.elapsed);
+        assert!(
+            r.elapsed < deadline + Duration::from_millis(100),
+            "overran its deadline: {:?}",
+            r.elapsed
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`improve`]: `ImproveHD` and `FracImproveHD`, the fractionally
 //!   improved decompositions (§6.5),
 //! * [`driver`]: width searches, per-`k` outcome tracking and the
-//!   "run all three GHD algorithms in parallel, take the first to finish"
-//!   race of §6.4,
+//!   "take the first of the three GHD algorithms to finish" race of §6.4,
+//!   run as a time-sliced portfolio on one thread,
 //! * [`tree`] and [`validate`]: decomposition trees and machine checking of
 //!   all decomposition conditions (tree-decomposition conditions 1–2, the
 //!   GHD cover condition 3 and the HD special condition 4).

@@ -1,6 +1,8 @@
 //! Table 4: the first-of-three race — for hypergraphs with hw ≤ k
-//! (k ∈ {3..6}), run all three GHD algorithms in parallel on
-//! `Check(GHD,k−1)` and take the first definitive answer.
+//! (k ∈ {3..6}), run all three GHD algorithms on `Check(GHD,k−1)` and
+//! take the first definitive answer. The paper ran them in parallel;
+//! [`race_ghd_opts`] runs them as a time-sliced portfolio on one thread,
+//! so the reported times are each race's total on that thread.
 
 use std::time::Duration;
 
@@ -15,8 +17,8 @@ use crate::{parallel_map, AnalyzedBenchmark};
 /// Regenerates Table 4.
 pub fn run(bench: &AnalyzedBenchmark) -> ExperimentReport {
     let timeout = bench.config.ghd_timeout;
-    // The race itself runs three threads per instance; divide the pool.
-    let threads = (bench.config.worker_count() / 3).max(1);
+    // Each race runs on the thread that calls it: one race per pool thread.
+    let threads = bench.config.worker_count();
     let cfg = SubedgeConfig::default();
 
     let mut t = Table::new(&["hw -> ghw", "yes", "avg(yes)", "no", "avg(no)", "timeout"]);

@@ -109,7 +109,8 @@ pub struct AnalyzedInstance {
 ///
 /// * [`AnalyzeMethod::Hd`] — the iterative `Check(HD,k)` search of
 ///   Figure 4,
-/// * [`AnalyzeMethod::Ghd`] — the §6.4 three-way GHD race per `k`,
+/// * [`AnalyzeMethod::Ghd`] — the §6.4 first-of-three GHD race per `k`,
+///   run as a one-thread time-sliced portfolio,
 /// * [`AnalyzeMethod::Fhd`] — the HD search, then `ImproveHD` (§6.5)
 ///   replaces each integral cover by an optimal fractional one; the
 ///   witness stays the HD tree and the fractional width rides along.

@@ -182,8 +182,11 @@ pub fn write_pack_entries<'a>(
         codec::put_u64(&mut meta, rec_len);
         codec::put_str(&mut meta, &e.collection);
         codec::put_str(&mut meta, &e.class);
+        // The counts describe the entry as it hydrates: the `.hg` payload
+        // leaves out duplicate edges, and dropping them changes neither
+        // the vertex set nor the arity.
         codec::put_u64(&mut meta, e.hypergraph.num_vertices() as u64);
-        codec::put_u64(&mut meta, e.hypergraph.num_edges() as u64);
+        codec::put_u64(&mut meta, e.hypergraph.distinct_edge_ids().count() as u64);
         codec::put_u64(&mut meta, e.hypergraph.arity() as u64);
         codec::put_u64(&mut meta, codec::fnv64(hg_text.as_bytes()));
         match &e.analysis {
@@ -600,6 +603,72 @@ mod tests {
         b.add_edge("c", &["x", "y", "z"]);
         repo.insert(b.build(), "xcsp", "CSP Random");
         repo
+    }
+
+    #[test]
+    fn packed_meta_matches_hydrated_entry_with_duplicate_edges() {
+        let dir = tmpdir("dupedges");
+        let shapes: [&[(&str, &[&str])]; 4] = [
+            &[
+                ("e1", &["a", "b"]),
+                ("e2", &["b", "c"]),
+                ("e3", &["b", "a"]),
+            ],
+            &[
+                ("e1", &["a", "b", "c"]),
+                ("e2", &["c", "a", "b"]),
+                ("e3", &["a", "c", "b"]),
+            ],
+            &[
+                ("e1", &["x", "y"]),
+                ("e2", &["y", "z", "w"]),
+                ("e3", &["z", "x"]),
+            ],
+            &[
+                ("e1", &["p"]),
+                ("e2", &["p", "q"]),
+                ("e3", &["p"]),
+                ("e4", &["q", "p"]),
+            ],
+        ];
+        // Duplicate edges kept in memory, as the builder does by default.
+        let mut repo = Repository::new();
+        for shape in shapes {
+            let mut b = HypergraphBuilder::new();
+            for (name, vs) in shape {
+                b.add_edge(name, vs);
+            }
+            repo.insert(b.build(), "Dup", "CQ Application");
+        }
+        assert_eq!(repo.entry(0).hypergraph.num_edges(), 3);
+        let pack = dir.join("repo.pack");
+        write_pack(&repo, &pack).unwrap();
+        let paged = Repository::open_pack(&pack).unwrap();
+        let metas: Vec<(usize, usize, usize, usize)> = paged
+            .metas()
+            .map(|m| (m.id, m.vertices, m.edges, m.arity))
+            .collect();
+        assert_eq!(metas.len(), shapes.len());
+        for (id, vertices, edges, arity) in metas {
+            let hash = paged.content_hash(id).unwrap();
+            let h = &paged.try_get(id).unwrap().unwrap().hypergraph;
+            assert_eq!(
+                (vertices, edges, arity, hash),
+                (
+                    h.num_vertices(),
+                    h.num_edges(),
+                    h.arity(),
+                    content_hash_of(h)
+                ),
+                "entry {id}: packed meta differs from its hydrated entry"
+            );
+            // The resident entry hashes like its packed form, so a
+            // checkpoint keeps every content hash with its owner.
+            assert_eq!(repo.content_hash(id), Some(hash), "entry {id}");
+        }
+        let edges: Vec<usize> = paged.metas().map(|m| m.edges).collect();
+        assert_eq!(edges, [2, 1, 3, 2]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

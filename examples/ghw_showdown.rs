@@ -1,6 +1,9 @@
 //! GHD showdown: generate a slice of the benchmark and race the three
 //! GHD algorithms (GlobalBIP vs LocalBIP vs BalSep, §6.4) on every cyclic
-//! instance, printing the per-algorithm win counts.
+//! instance, printing the per-algorithm win counts. The race is a
+//! time-sliced portfolio in which BalSep runs first each round, so a
+//! check two contestants can finish within the same slice goes to the
+//! earlier one.
 //!
 //! Run with: `cargo run --release -p hyperbench-examples --bin ghw_showdown`
 
